@@ -42,7 +42,7 @@ bench-warehouse:
 # BENCH_all.json for benchdiff. Output goes through a file rather than a
 # pipe so a failing `go test` cannot be masked by a succeeding parser
 # (POSIX sh has no pipefail).
-BENCH_PATTERN = ^(BenchmarkForward|BenchmarkForwardBatch|BenchmarkForwardBackward|BenchmarkAdamStep|BenchmarkSoftUpdate|BenchmarkFit200x32|BenchmarkPredict200x32|BenchmarkRDPERAddSample|BenchmarkTD3TrainStep|BenchmarkTD3Act|BenchmarkSuggest|BenchmarkSuggestTraced|BenchmarkWarehouseIngest|BenchmarkSessionSuggestObserve|BenchmarkSessionSuggestObserveSpine|BenchmarkFleetRoute|BenchmarkLoadgenSuggest|BenchmarkSpineIngest|BenchmarkSpineIngestBackpressure|BenchmarkSpineSample|BenchmarkAdmission)$$
+BENCH_PATTERN = ^(BenchmarkForward|BenchmarkForwardBatch|BenchmarkForwardBackward|BenchmarkAdamStep|BenchmarkSoftUpdate|BenchmarkFit200x32|BenchmarkPredict200x32|BenchmarkRDPERAddSample|BenchmarkTD3TrainStep|BenchmarkDDPGTrainStep|BenchmarkTD3Act|BenchmarkSuggest|BenchmarkSuggestTraced|BenchmarkWarehouseIngest|BenchmarkSessionSuggestObserve|BenchmarkSessionSuggestObserveSpine|BenchmarkFleetRoute|BenchmarkLoadgenSuggest|BenchmarkSpineIngest|BenchmarkSpineIngestBackpressure|BenchmarkSpineSample|BenchmarkAdmission)$$
 
 bench-all:
 	rm -f BENCH_all.txt BENCH_all.json

@@ -261,6 +261,7 @@ func (d *DeepCAT) trainOnce(batchSize int) {
 	}
 	stats := d.Agent.Train(d.rng, batch)
 	if ps, ok := d.Buffer.(rl.PrioritySampler); ok {
+		// TDErrors is agent scratch, consumed here before the next Train.
 		ps.UpdatePriorities(batch.Indices, stats.TDErrors)
 	}
 	if sp != nil {

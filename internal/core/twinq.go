@@ -24,8 +24,8 @@ import (
 // passes with the state embedding hoisted out (rl.TD3.QValuesBatch). The
 // decision is identical to the sequential loop — same accepted action bit
 // for bit, same tries count, same optimized flag, same trace events — which
-// optimizeSequential and the equivalence test in twinq_batch_test.go pin
-// down. Chunks are sized so the common cases stay cheap: the first round
+// the sequential reference loop and the equivalence tests in
+// twinq_batch_test.go pin down. Chunks are sized so the common cases stay cheap: the first round
 // scores the raw recommendation together with a handful of perturbations
 // (one SIMD lane group), then full-width chunks cover the remaining try
 // budget.
@@ -220,61 +220,6 @@ func (o *TwinQOptimizer) optimize(rng *rand.Rand, agent *rl.TD3, s, a []float64,
 	// Threshold unreachable in MaxTries attempts: fall back to the best
 	// candidate scored, which still dominates the raw recommendation.
 	return mat.CloneSlice(best), tries, !sameVec(best, a)
-}
-
-// optimizeSequential is the pre-batching reference implementation of
-// Algorithm 1: one per-sample critic pair per candidate, early exit on
-// acceptance. It is retained verbatim as the oracle for the batched-vs-
-// sequential equivalence test; the two must agree on the accepted action
-// (bit for bit), tries, the optimized flag and the emitted candidate events
-// for any inputs.
-func (o *TwinQOptimizer) optimizeSequential(rng *rand.Rand, agent *rl.TD3, s, a []float64, rec trace.Recorder) (out []float64, tries int, optimized bool) {
-	score := func(s, a []float64) (q1, q2, sc float64) {
-		q1, q2 = agent.QValues(s, a)
-		sc = q1
-		if !o.SingleQ && q2 < q1 {
-			sc = q2
-		}
-		return q1, q2, sc
-	}
-	emit := func(try int, act []float64, q1, q2, sc float64) {
-		if rec == nil {
-			return
-		}
-		rec.Emit(trace.Event{Kind: trace.KindCandidate, Candidate: &trace.Candidate{
-			Try:      try,
-			Action:   mat.CloneSlice(act),
-			Q1:       q1,
-			Q2:       q2,
-			MinQ:     sc,
-			QTh:      o.QTh,
-			Accepted: sc >= o.QTh,
-		}})
-	}
-	cur := mat.CloneSlice(a)
-	bestA := mat.CloneSlice(a)
-	q1, q2, bestQ := score(s, cur)
-	tries = 1
-	emit(tries, cur, q1, q2, bestQ)
-	if bestQ >= o.QTh {
-		return bestA, tries, false
-	}
-	for tries < o.MaxTries {
-		for i := range cur {
-			cur[i] = mat.Clip(cur[i]+o.Sigma*rng.NormFloat64(), 0, 1)
-		}
-		q1, q2, q := score(s, cur)
-		tries++
-		emit(tries, cur, q1, q2, q)
-		if q > bestQ {
-			bestQ = q
-			copy(bestA, cur)
-		}
-		if q >= o.QTh {
-			return bestA, tries, true
-		}
-	}
-	return bestA, tries, !sameVec(bestA, a)
 }
 
 func sameVec(a, b []float64) bool {

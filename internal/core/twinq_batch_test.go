@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"deepcat/internal/mat"
+	"deepcat/internal/rl"
 	"deepcat/internal/trace"
 )
 
@@ -153,4 +155,59 @@ func TestSuggestSteadyStateAllocs(t *testing.T) {
 	if allocs > 9 {
 		t.Fatalf("warm Suggest allocates %v per run, want <= 9", allocs)
 	}
+}
+
+// optimizeSequential is the pre-batching reference implementation of
+// Algorithm 1: one per-sample critic pair per candidate, early exit on
+// acceptance. It is kept verbatim as the oracle for the batched-vs-
+// sequential equivalence test; the two must agree on the accepted action
+// (bit for bit), tries, the optimized flag and the emitted candidate events
+// for any inputs.
+func (o *TwinQOptimizer) optimizeSequential(rng *rand.Rand, agent *rl.TD3, s, a []float64, rec trace.Recorder) (out []float64, tries int, optimized bool) {
+	score := func(s, a []float64) (q1, q2, sc float64) {
+		q1, q2 = agent.QValues(s, a)
+		sc = q1
+		if !o.SingleQ && q2 < q1 {
+			sc = q2
+		}
+		return q1, q2, sc
+	}
+	emit := func(try int, act []float64, q1, q2, sc float64) {
+		if rec == nil {
+			return
+		}
+		rec.Emit(trace.Event{Kind: trace.KindCandidate, Candidate: &trace.Candidate{
+			Try:      try,
+			Action:   mat.CloneSlice(act),
+			Q1:       q1,
+			Q2:       q2,
+			MinQ:     sc,
+			QTh:      o.QTh,
+			Accepted: sc >= o.QTh,
+		}})
+	}
+	cur := mat.CloneSlice(a)
+	bestA := mat.CloneSlice(a)
+	q1, q2, bestQ := score(s, cur)
+	tries = 1
+	emit(tries, cur, q1, q2, bestQ)
+	if bestQ >= o.QTh {
+		return bestA, tries, false
+	}
+	for tries < o.MaxTries {
+		for i := range cur {
+			cur[i] = mat.Clip(cur[i]+o.Sigma*rng.NormFloat64(), 0, 1)
+		}
+		q1, q2, q := score(s, cur)
+		tries++
+		emit(tries, cur, q1, q2, q)
+		if q > bestQ {
+			bestQ = q
+			copy(bestA, cur)
+		}
+		if q >= o.QTh {
+			return bestA, tries, true
+		}
+	}
+	return bestA, tries, !sameVec(bestA, a)
 }

@@ -1,6 +1,9 @@
 package mat
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Lane-major batched kernels.
 //
@@ -115,9 +118,40 @@ var laneKernel laneKernelFunc = mulLanesGo
 // laneKernelName names the active backend, for logs and tests.
 var laneKernelName = "go"
 
+// laneKernels holds every backend this CPU can run, keyed by name; init
+// adds the SIMD backends it detects.
+var laneKernels = map[string]laneKernelFunc{"go": mulLanesGo}
+
 // LaneKernel reports which MulLanes backend is active ("avx512", "avx2" or
 // "go").
 func LaneKernel() string { return laneKernelName }
+
+// LaneKernels returns the names of every MulLanes backend this CPU can run,
+// sorted; "go" is always among them.
+func LaneKernels() []string {
+	names := make([]string, 0, len(laneKernels))
+	for name := range laneKernels {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// UseLaneKernel makes the named backend the active one and returns a
+// function that restores the previous choice. Every backend produces the
+// same bits, so this changes speed only; packages built on MulLanes use it
+// to check their own bit-identity contracts under each backend. It must not
+// run concurrently with MulLanes, and it panics on a name LaneKernels does
+// not list.
+func UseLaneKernel(name string) (restore func()) {
+	kern, ok := laneKernels[name]
+	if !ok {
+		panic(fmt.Sprintf("mat: lane kernel %q not available (have %v)", name, LaneKernels()))
+	}
+	prev, prevName := laneKernel, laneKernelName
+	laneKernel, laneKernelName = kern, name
+	return func() { laneKernel, laneKernelName = prev, prevName }
+}
 
 // mulLanesGo is the portable reference backend. The lane loop is blocked by
 // four so the accumulator chains of independent lanes interleave, which

@@ -40,22 +40,14 @@ func init() {
 		zmmState = 0xe6
 	)
 	if b7&avx2Bit != 0 && xcr0&ymmState == ymmState {
-		laneKernelAVX2OK = true
+		laneKernels["avx2"] = mulLanesAVX2Wrap
+		laneKernel, laneKernelName = mulLanesAVX2Wrap, "avx2"
 	}
-	switch {
-	case b7&avx512fBit != 0 && xcr0&zmmState == zmmState:
-		laneKernel = mulLanesAVX512Wrap
-		laneKernelName = "avx512"
-	case laneKernelAVX2OK:
-		laneKernel = mulLanesAVX2Wrap
-		laneKernelName = "avx2"
+	if b7&avx512fBit != 0 && xcr0&zmmState == zmmState {
+		laneKernels["avx512"] = mulLanesAVX512Wrap
+		laneKernel, laneKernelName = mulLanesAVX512Wrap, "avx512"
 	}
 }
-
-// laneKernelAVX2OK records whether the AVX2 backend can run on this CPU even
-// when AVX-512 is selected; the property tests use it to cover the
-// non-selected SIMD backend too.
-var laneKernelAVX2OK bool
 
 // wrap adapts the slice-level kernel signature to the pointer-level asm
 // entry points. Degenerate shapes (no rows or no columns) take the portable

@@ -9,16 +9,7 @@ import (
 
 // laneBackends returns every MulLanes backend that can run on this machine,
 // always including the portable reference.
-func laneBackends() map[string]laneKernelFunc {
-	b := map[string]laneKernelFunc{"go": mulLanesGo}
-	if laneKernelName != "go" {
-		b[laneKernelName] = laneKernel
-	}
-	for name, kern := range extraLaneBackends() {
-		b[name] = kern
-	}
-	return b
-}
+func laneBackends() map[string]laneKernelFunc { return laneKernels }
 
 // packLanes transposes k row-major samples (k x cols) into a lane-major
 // block with the given stride, zeroing the pad lanes.

@@ -191,8 +191,9 @@ func (m *Matrix) MulVecTransTo(dst, x []float64) {
 }
 
 // AddOuterScaled adds s * x*yᵀ to m in place, where len(x) == m.Rows and
-// len(y) == m.Cols. This is the gradient accumulation kernel for dense
-// layers.
+// len(y) == m.Cols. It is the per-sample weight-gradient kernel of a dense
+// layer; the training oracles in nn and rl hold nn.BackwardBatch to it bit
+// for bit.
 func (m *Matrix) AddOuterScaled(x, y []float64, s float64) {
 	if len(x) != m.Rows || len(y) != m.Cols {
 		panic(fmt.Sprintf("mat: addOuter dims %dx%d vs %dx%d", len(x), len(y), m.Rows, m.Cols))

@@ -9,11 +9,11 @@
 //   - Grads: a gradient accumulator with the same shape as an MLP.
 //   - Adam: the optimizer, holding first/second-moment state per parameter.
 //
-// Training uses per-sample forward passes that record a Tape, per-sample
-// backward passes that accumulate into Grads, and one optimizer step per
-// mini-batch. Networks of the size used here (a few tens of thousands of
-// weights) train in microseconds per sample, which is ample for the paper's
-// workloads.
+// Training runs a whole mini-batch lane-major: ForwardLanes records every
+// layer's activations on a BatchTape, BackwardBatch turns them into Grads
+// with GEMMs on the mat.MulLanes kernels, and one optimizer step follows.
+// Inference has a per-sample Forward and a batched ForwardBatch; all of
+// them agree bit for bit with per-sample evaluation.
 package nn
 
 import (
@@ -65,6 +65,34 @@ func (a Activation) apply(x float64) float64 {
 		return math.Tanh(x)
 	case Sigmoid:
 		return 1 / (1 + math.Exp(-x))
+	default:
+		panic(fmt.Sprintf("nn: unknown activation %d", int(a)))
+	}
+}
+
+// scaleByDeriv multiplies every delta[j] by the derivative at output y[j],
+// bit-identical to delta[j] *= derivFromOutput(y[j]) with the activation
+// switch hoisted out of the loop.
+func (a Activation) scaleByDeriv(delta, y []float64) {
+	switch a {
+	case Linear:
+		// σ' = 1.
+	case ReLU:
+		for j, v := range y {
+			d := 0.0
+			if v > 0 {
+				d = 1
+			}
+			delta[j] *= d
+		}
+	case Tanh:
+		for j, v := range y {
+			delta[j] *= 1 - v*v
+		}
+	case Sigmoid:
+		for j, v := range y {
+			delta[j] *= v * (1 - v)
+		}
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", int(a)))
 	}

@@ -67,22 +67,23 @@ func (a *Adam) Step(m *MLP, g *Grads, scale float64) {
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for i, l := range m.Layers {
-		mw, vw := a.mW[i].Data, a.vW[i].Data
-		gw := g.W[i].Data
-		w := l.W.Data
-		for k, gv := range gw {
-			gv *= scale
-			mw[k] = a.Beta1*mw[k] + (1-a.Beta1)*gv
-			vw[k] = a.Beta2*vw[k] + (1-a.Beta2)*gv*gv
-			w[k] -= a.LR * (mw[k] / c1) / (math.Sqrt(vw[k]/c2) + a.Eps)
-		}
-		mb, vb := a.mB[i], a.vB[i]
-		gb := g.B[i]
-		for k, gv := range gb {
-			gv *= scale
-			mb[k] = a.Beta1*mb[k] + (1-a.Beta1)*gv
-			vb[k] = a.Beta2*vb[k] + (1-a.Beta2)*gv*gv
-			l.B[k] -= a.LR * (mb[k] / c1) / (math.Sqrt(vb[k]/c2) + a.Eps)
-		}
+		a.update(l.W.Data, g.W[i].Data, a.mW[i].Data, a.vW[i].Data, scale, c1, c2)
+		a.update(l.B, g.B[i], a.mB[i], a.vB[i], scale, c1, c2)
+	}
+}
+
+// update applies one Adam step to the parameters p with gradients g and
+// moments mo, ve. The hyper-parameters are read into locals once, so the
+// loop neither reloads them nor recomputes 1-β per element; the arithmetic
+// per element is unchanged.
+func (a *Adam) update(p, g, mo, ve []float64, scale, c1, c2 float64) {
+	b1, b2, lr, eps := a.Beta1, a.Beta2, a.LR, a.Eps
+	ob1, ob2 := 1-b1, 1-b2
+	mo, ve, p = mo[:len(g)], ve[:len(g)], p[:len(g)]
+	for k, gv := range g {
+		gv *= scale
+		mo[k] = b1*mo[k] + ob1*gv
+		ve[k] = b2*ve[k] + ob2*gv*gv
+		p[k] -= lr * (mo[k] / c1) / (math.Sqrt(ve[k]/c2) + eps)
 	}
 }

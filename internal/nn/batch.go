@@ -19,8 +19,10 @@ import (
 // property tests in batch_test.go and the Twin-Q equivalence test in
 // internal/core pin this down.
 //
-// Training is untouched: ForwardTape/Backward remain per-sample, own their
-// tape allocations, and never see an Arena.
+// Training runs on the same kernels: ForwardLanes (train.go) is this
+// forward pass with the per-layer activations kept in a BatchTape's Arena,
+// and BackwardBatch backpropagates a whole minibatch through them as GEMMs.
+// Training passes always run on the calling goroutine.
 
 // Arena owns the scratch buffers of batched forward passes.
 //
@@ -165,7 +167,7 @@ func (m *MLP) forwardBatch(ar *Arena, prefix, init []float64, colOff int, x []fl
 	if xtIn == nil && len(x) < k*xDim {
 		panic(fmt.Sprintf("nn: forward batch input len %d, want %d", len(x), k*xDim))
 	}
-	if len(dst) < k*m.OutSize() {
+	if dst != nil && len(dst) < k*m.OutSize() {
 		panic(fmt.Sprintf("nn: forward batch dst len %d, want %d", len(dst), k*m.OutSize()))
 	}
 	kp := kpIn
@@ -260,7 +262,11 @@ func (b *batchRun) shard(r0, lanes int, wg *sync.WaitGroup) {
 		}
 		cur = out
 	}
-	// Unpack this shard's live lanes row-major into dst.
+	// Unpack this shard's live lanes row-major into dst, unless the caller
+	// reads the lane-major outputs directly (ForwardLanes).
+	if b.dst == nil {
+		return
+	}
 	last := b.outs[len(b.outs)-1][r0:]
 	outDim := b.m.OutSize()
 	for r := 0; r < lanes && r0+r < b.k; r++ {

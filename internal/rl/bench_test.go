@@ -67,10 +67,13 @@ func BenchmarkTD3TrainStep(b *testing.B) {
 	for i := 0; i < 500; i++ {
 		buf.Add(benchTransition(rng))
 	}
+	var batch Batch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agent.Train(rng, buf.Sample(rng, 32))
+		batch.Transitions = batch.Transitions[:0]
+		buf.sampleInto(rng, 32, &batch)
+		agent.Train(rng, batch)
 	}
 }
 
@@ -86,10 +89,13 @@ func BenchmarkDDPGTrainStep(b *testing.B) {
 	for i := 0; i < 500; i++ {
 		buf.Add(benchTransition(rng))
 	}
+	var batch Batch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agent.Train(rng, buf.Sample(rng, 32))
+		batch.Transitions = batch.Transitions[:0]
+		buf.sampleInto(rng, 32, &batch)
+		agent.Train(rng, batch)
 	}
 }
 

@@ -69,6 +69,7 @@ type DDPG struct {
 	critGrads  *nn.Grads
 
 	updates int
+	scratch trainScratch
 }
 
 // NewDDPG constructs an agent with freshly initialized networks.
@@ -118,66 +119,41 @@ func (d *DDPG) QValue(state, action []float64) float64 {
 }
 
 // Train performs one DDPG update: critic TD regression (Eq. 3), actor
-// deterministic policy gradient (Eq. 4), soft target updates.
+// deterministic policy gradient (Eq. 4), soft target updates. Like
+// TD3.Train it runs the mini-batch lane-major, bit-identical to a
+// per-sample loop, and allocates nothing once warm; TDErrors is agent-owned
+// and valid until the next Train.
 func (d *DDPG) Train(rng *rand.Rand, batch Batch) TrainStats {
 	n := batch.Len()
 	if n == 0 {
 		panic("rl: Train on empty batch")
 	}
-	stats := TrainStats{TDErrors: make([]float64, n), ActorUpdated: true}
+	sc := &d.scratch
+	y := sc.bootstrap(rng, batch, d.ActorTarget, d.CriticT, nil, d.Cfg.Gamma, false, 0, 0)
 
-	targets := make([]float64, n)
-	for i, tr := range batch.Transitions {
-		y := tr.Reward
-		if !tr.Done {
-			aNext := d.ActorTarget.Forward(tr.NextState)
-			sa := make([]float64, d.Cfg.StateDim+d.Cfg.ActionDim)
-			copy(sa, tr.NextState)
-			copy(sa[d.Cfg.StateDim:], aNext)
-			y += d.Cfg.Gamma * d.CriticT.Forward(sa)[0]
-		}
-		targets[i] = y
-	}
-
-	d.critGrads.Zero()
+	kp := sc.packBatch(batch, d.Cfg.StateDim, d.Cfg.ActionDim)
+	q := d.Critic.ForwardLanes(&sc.crit1, sc.sa, kp, n)
+	g := grow(&sc.g1, kp)
+	clear(g[n:])
+	td := grow(&sc.td, n)
 	var loss, sumQ float64
-	for i, tr := range batch.Transitions {
+	for i := 0; i < n; i++ {
 		w := 1.0
 		if batch.Weights != nil {
 			w = batch.Weights[i]
 		}
-		sa := make([]float64, d.Cfg.StateDim+d.Cfg.ActionDim)
-		copy(sa, tr.State)
-		copy(sa[d.Cfg.StateDim:], tr.Action)
-		tape := d.Critic.ForwardTape(sa)
-		q := tape.Output()[0]
-		delta := q - targets[i]
-		d.Critic.Backward(tape, []float64{w * delta}, d.critGrads)
+		delta := q[i] - y[i]
+		g[i] = w * delta
 		loss += w * 0.5 * delta * delta
-		sumQ += q
-		stats.TDErrors[i] = delta
+		sumQ += q[i]
+		td[i] = delta
 	}
+	d.Critic.BackwardBatch(&sc.crit1, g, d.critGrads, nil, 0, 0)
 	scale := 1.0 / float64(n)
 	d.criticOpt.Step(d.Critic, d.critGrads, scale)
-	stats.CriticLoss = loss * scale
-	stats.MeanQ = sumQ * scale
+	stats := TrainStats{CriticLoss: loss * scale, MeanQ: sumQ * scale, TDErrors: td, ActorUpdated: true}
 
-	// Actor update.
-	d.actorGrads.Zero()
-	for _, tr := range batch.Transitions {
-		aTape := d.Actor.ForwardTape(tr.State)
-		a := aTape.Output()
-		sa := make([]float64, d.Cfg.StateDim+d.Cfg.ActionDim)
-		copy(sa, tr.State)
-		copy(sa[d.Cfg.StateDim:], a)
-		dSA := d.Critic.InputGrad(sa, []float64{1})
-		dA := dSA[d.Cfg.StateDim:]
-		neg := make([]float64, len(dA))
-		mat.ScaleTo(neg, -1, dA)
-		d.Actor.Backward(aTape, neg, d.actorGrads)
-	}
-	d.actorOpt.Step(d.Actor, d.actorGrads, scale)
-
+	sc.actorStep(d.Actor, d.Critic, d.actorOpt, d.actorGrads, n, kp)
 	d.ActorTarget.SoftUpdate(d.Actor, d.Cfg.Tau)
 	d.CriticT.SoftUpdate(d.Critic, d.Cfg.Tau)
 	d.updates++

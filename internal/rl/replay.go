@@ -26,7 +26,9 @@ type Sampler interface {
 type PrioritySampler interface {
 	Sampler
 	// UpdatePriorities sets new |TD error|-based priorities for the
-	// transitions identified by a previous Sample's Batch.Indices.
+	// transitions identified by a previous Sample's Batch.Indices. tdErrs
+	// is typically an agent's TrainStats.TDErrors, which the agent's next
+	// Train overwrites, so implementations must not retain it.
 	UpdatePriorities(indices []int, tdErrs []float64)
 }
 

@@ -117,6 +117,7 @@ type TD3 struct {
 
 	updates int
 	saBuf   []float64 // scratch concat(state, action)
+	scratch trainScratch
 }
 
 // NewTD3 constructs an agent with freshly initialized networks.
@@ -297,8 +298,11 @@ func (t *TD3) concat(state, action []float64) []float64 {
 type TrainStats struct {
 	CriticLoss float64
 	MeanQ      float64
-	// TDErrors holds the per-sample |target - Q1| values, ready for
-	// PrioritySampler.UpdatePriorities.
+	// TDErrors holds the per-sample signed TD errors Q1(s,a) - y in batch
+	// order, ready for PrioritySampler.UpdatePriorities (which takes their
+	// magnitude). The slice is agent-owned scratch: it stays valid until the
+	// agent's next Train call, which overwrites it, so callers must consume
+	// or copy it before training again.
 	TDErrors []float64
 	// ActorUpdated reports whether this step performed the delayed policy
 	// and target updates.
@@ -306,103 +310,61 @@ type TrainStats struct {
 }
 
 // Train performs one TD3 update from the mini-batch: both critics always,
-// actor and targets every PolicyDelay-th call.
+// actor and targets every PolicyDelay-th call. The whole mini-batch runs
+// lane-major through each network (see trainScratch), bit-identical to a
+// per-sample update loop, and a warmed agent allocates nothing here.
 func (t *TD3) Train(rng *rand.Rand, batch Batch) TrainStats {
 	n := batch.Len()
 	if n == 0 {
 		panic("rl: Train on empty batch")
 	}
-	stats := TrainStats{TDErrors: make([]float64, n)}
+	sc := &t.scratch
 
-	// Build bootstrap targets y_i with target policy smoothing and the
-	// min of the twin target critics.
-	targets := make([]float64, n)
-	for i, tr := range batch.Transitions {
-		y := tr.Reward
-		if !tr.Done {
-			aNext := t.ActorTarget.Forward(tr.NextState)
-			for j := range aNext {
-				eps := mat.Clip(t.Cfg.TargetNoiseStd*rng.NormFloat64(),
-					-t.Cfg.TargetNoiseClip, t.Cfg.TargetNoiseClip)
-				aNext[j] = mat.Clip(aNext[j]+eps, 0, 1)
-			}
-			sa := make([]float64, t.Cfg.StateDim+t.Cfg.ActionDim)
-			copy(sa, tr.NextState)
-			copy(sa[t.Cfg.StateDim:], aNext)
-			q1 := t.Critic1T.Forward(sa)[0]
-			q2 := t.Critic2T.Forward(sa)[0]
-			if q2 < q1 {
-				q1 = q2
-			}
-			y += t.Cfg.Gamma * q1
-		}
-		targets[i] = y
-	}
+	// Bootstrap targets y_i with target policy smoothing and the min of the
+	// twin target critics.
+	y := sc.bootstrap(rng, batch, t.ActorTarget, t.Critic1T, t.Critic2T,
+		t.Cfg.Gamma, true, t.Cfg.TargetNoiseStd, t.Cfg.TargetNoiseClip)
 
 	// Critic regression towards y with importance weights.
-	t.c1Grads.Zero()
-	t.c2Grads.Zero()
+	kp := sc.packBatch(batch, t.Cfg.StateDim, t.Cfg.ActionDim)
+	q1 := t.Critic1.ForwardLanes(&sc.crit1, sc.sa, kp, n)
+	q2 := t.Critic2.ForwardLanes(&sc.crit2, sc.sa, kp, n)
+	g1, g2 := grow(&sc.g1, kp), grow(&sc.g2, kp)
+	clear(g1[n:])
+	clear(g2[n:])
+	td := grow(&sc.td, n)
 	var loss, sumQ float64
-	for i, tr := range batch.Transitions {
+	for i := 0; i < n; i++ {
 		w := 1.0
 		if batch.Weights != nil {
 			w = batch.Weights[i]
 		}
-		sa := make([]float64, t.Cfg.StateDim+t.Cfg.ActionDim)
-		copy(sa, tr.State)
-		copy(sa[t.Cfg.StateDim:], tr.Action)
-
-		tape1 := t.Critic1.ForwardTape(sa)
-		q1 := tape1.Output()[0]
-		d1 := q1 - targets[i]
-		t.Critic1.Backward(tape1, []float64{w * d1}, t.c1Grads)
-
-		tape2 := t.Critic2.ForwardTape(sa)
-		q2 := tape2.Output()[0]
-		d2 := q2 - targets[i]
-		t.Critic2.Backward(tape2, []float64{w * d2}, t.c2Grads)
-
+		d1 := q1[i] - y[i]
+		d2 := q2[i] - y[i]
+		g1[i] = w * d1
+		g2[i] = w * d2
 		loss += w * 0.5 * (d1*d1 + d2*d2)
-		sumQ += q1
-		stats.TDErrors[i] = d1
+		sumQ += q1[i]
+		td[i] = d1
 	}
+	t.Critic1.BackwardBatch(&sc.crit1, g1, t.c1Grads, nil, 0, 0)
+	t.Critic2.BackwardBatch(&sc.crit2, g2, t.c2Grads, nil, 0, 0)
 	scale := 1.0 / float64(n)
 	t.c1Opt.Step(t.Critic1, t.c1Grads, scale)
 	t.c2Opt.Step(t.Critic2, t.c2Grads, scale)
-	stats.CriticLoss = loss * scale
-	stats.MeanQ = sumQ * scale
+	stats := TrainStats{CriticLoss: loss * scale, MeanQ: sumQ * scale, TDErrors: td}
 
 	t.updates++
 	if t.updates%t.Cfg.PolicyDelay == 0 {
-		t.updateActor(batch)
+		// Deterministic policy gradient on J = E[Q1(s, actor(s))], through
+		// the critic Critic1 as just updated.
+		sc.actorStep(t.Actor, t.Critic1, t.actorOpt, t.actorGrads, n, kp)
 		t.ActorTarget.SoftUpdate(t.Actor, t.Cfg.Tau)
 		t.Critic1T.SoftUpdate(t.Critic1, t.Cfg.Tau)
 		t.Critic2T.SoftUpdate(t.Critic2, t.Cfg.Tau)
 		stats.ActorUpdated = true
 	}
 	return stats
-}
-
-// updateActor performs one deterministic policy gradient ascent step on
-// J = E[Q1(s, actor(s))].
-func (t *TD3) updateActor(batch Batch) {
-	t.actorGrads.Zero()
-	for _, tr := range batch.Transitions {
-		aTape := t.Actor.ForwardTape(tr.State)
-		a := aTape.Output()
-
-		sa := make([]float64, t.Cfg.StateDim+t.Cfg.ActionDim)
-		copy(sa, tr.State)
-		copy(sa[t.Cfg.StateDim:], a)
-		// dQ1/d(sa), then take the action block.
-		dSA := t.Critic1.InputGrad(sa, []float64{1})
-		dA := dSA[t.Cfg.StateDim:]
-		// Gradient ascent on Q => descend on -Q.
-		neg := make([]float64, len(dA))
-		mat.ScaleTo(neg, -1, dA)
-		t.Actor.Backward(aTape, neg, t.actorGrads)
-	}
-	t.actorOpt.Step(t.Actor, t.actorGrads, 1.0/float64(batch.Len()))
 }
 
 // Updates returns the number of Train calls performed.

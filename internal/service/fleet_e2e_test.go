@@ -472,9 +472,11 @@ func TestFleetKill9Failover(t *testing.T) {
 	}
 }
 
-// BenchmarkLoadgenSuggest measures one full loadgen round — HTTP suggest
-// plus observe through the client against an in-process daemon — the unit
-// of work deepcat-loadgen scales to 10k sessions.
+// BenchmarkLoadgenSuggest measures one loadgen round — suggest plus
+// observe through the client and an in-process daemon — on one session that
+// trains inline. The observe's TD3 fine-tuning is most of the round,
+// so this tracks the inline-training cost of a round trip (see
+// perfbench/LEDGER.md), not transport; the HTTP share is a small fraction.
 func BenchmarkLoadgenSuggest(b *testing.B) {
 	m := service.NewManager(service.NewMemStore(), 0)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
